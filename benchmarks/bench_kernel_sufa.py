@@ -40,6 +40,20 @@ stream (kk >= 512 on the full shapes) through ``SofaEngine`` under the
 default kernels and under the fused mapping; the acceptance bar is
 ``fused_vs_default >= 1.15`` on that stream, with outputs bit-identical.
 
+A ``kv_gather`` section times the on-demand K/V stage of the batched
+engine at the long-selection shape (8 heads, S=4096, T=64, kk=512 - the
+``batch_longsel`` workload).  Two comparisons, parity asserted in-line:
+
+* projection - the seed's broadcast-multiply ``(c, K, N)`` product plus
+  ``sum(axis=1)`` (reconstructed here as ``seed_gathered_project``, like
+  ``seed_loop``) against the shipped sequential accumulate
+  (``det_gathered_project``); ``projection_vs_seed`` is gated, and the
+  outputs must match bit for bit;
+* gather -> stream - the whole ``(N*T, kk, D)`` K and V stacks gathered
+  and streamed in one call against the engine's row-chunked
+  ``gather_stream``; outputs, op tallies and triggers must match bit for
+  bit, and the peak traced bytes of each are recorded.
+
 Run as a script to record ``BENCH_sufa.json``:
 
     PYTHONPATH=src python benchmarks/bench_kernel_sufa.py [--quick]
@@ -56,16 +70,23 @@ import os
 import pathlib
 import sys
 import time
+import tracemalloc
 
 import numpy as np
 
 from repro.core.config import SofaConfig
 from repro.core.dlzs import DlzsPredictor
 from repro.core.sads import SadsSorter
-from repro.core.sufa import SufaStackResult, UpdateOrder, stream_selected_reference
+from repro.core.sufa import (
+    SufaStackResult,
+    UpdateOrder,
+    stream_selected,
+    stream_selected_reference,
+)
 from repro.engine import AttentionRequest, SofaEngine
+from repro.engine.batched import _GATHER_CHUNK_BYTES, gather_stream
 from repro.kernels import FUSED, register_sufa_kernel, stream_selected_blocked
-from repro.numerics.linalg import det_rowdot
+from repro.numerics.linalg import det_gathered_project, det_rowdot
 from repro.utils.rng import make_rng
 
 #: (R, kk, D, Dv, tile_cols) micro-workload grid.  The first row is the
@@ -122,6 +143,16 @@ E2E_FUSED = {
     True: dict(s=1024, t=32, n=4, h=64, dk=64, top_k=0.125, tile_cols=64),
 }
 FUSED_ACCEPTANCE_SPEEDUP = 1.15
+
+#: On-demand K/V stage shape: the ``batch_longsel`` workload (full) and a
+#: quick shape whose gathered K+V still spans several chunk budgets.
+KV_GATHER = {
+    False: dict(n=8, s=4096, t=64, h=64, d=64, kk=512),
+    True: dict(n=4, s=1024, t=64, h=64, d=64, kk=256),
+}
+#: Best-of rounds for the K/V stage in both modes: ``projection_vs_seed``
+#: is gated, and at two rounds its quick value spread 1.4-2.0x.
+KV_GATHER_REPEATS = 7
 
 
 def stream_selected_seed(
@@ -404,6 +435,110 @@ def measure_fused_engine(quick: bool = False) -> dict:
     }
 
 
+def seed_gathered_project(x, w, row_matrix, chunk_rows: int = 256):
+    """The seed's ``det_gathered_project``, reconstructed: per run of a
+    constant head and per row chunk, a fresh ``(c, K, N)`` broadcast
+    product reduced with ``sum(axis=1)``."""
+    r, n = x.shape[0], w.shape[2]
+    out = np.empty((r, n))
+    boundaries = np.flatnonzero(np.diff(row_matrix)) + 1
+    for start, stop in zip(np.r_[0, boundaries], np.r_[boundaries, r]):
+        mat = w[int(row_matrix[start])]
+        for lo in range(int(start), int(stop), chunk_rows):
+            hi = min(lo + chunk_rows, int(stop))
+            out[lo:hi] = (x[lo:hi, :, None] * mat[None, :, :]).sum(axis=1)
+    return out
+
+
+def _whole_gather_stream(q_rows, k_mat, v_mat, row_head, sel_rows):
+    """The seed's gather -> stream: whole (R, kk, D) stacks, one call."""
+    k_sel = k_mat[row_head[:, None], sel_rows]
+    v_sel = v_mat[row_head[:, None], sel_rows]
+    return stream_selected(q_rows, k_sel, v_sel)
+
+
+def _peak_traced_bytes(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def measure_kv_gather(quick: bool = False) -> dict:
+    """The on-demand K/V stage: projection and gather -> stream, before
+    and after, at the long-selection shape (parity asserted in-line)."""
+    w = KV_GATHER[quick]
+    n, s, t, h, d, kk = (w[key] for key in ("n", "s", "t", "h", "d", "kk"))
+    rng = make_rng(31)
+    tokens = rng.integers(-100, 100, size=(n, s, h)).astype(np.float64)
+    wk = rng.normal(size=(n, h, d))
+    wv = rng.normal(size=(n, h, d))
+    q_rows = rng.normal(size=(n * t, d))
+    row_head = np.repeat(np.arange(n), t)
+    sel_rows = np.argsort(rng.random(size=(n * t, s)), axis=1)[:, :kk]
+
+    # Union of every row's selection per head, as the engine projects it.
+    sel_mask = np.zeros((n, s), dtype=bool)
+    sel_mask[row_head[:, None], sel_rows] = True
+    head_idx, tok_idx = np.nonzero(sel_mask)
+    toks_sel = tokens[head_idx, tok_idx]
+    projected = det_gathered_project(toks_sel, wk, head_idx)
+    if seed_gathered_project(toks_sel, wk, head_idx).tobytes() != projected.tobytes():
+        raise SystemExit("projection parity with the seed broadcast-sum broken")
+    k_mat = np.zeros((n, s, d))
+    k_mat[head_idx, tok_idx] = projected
+    v_mat = np.zeros((n, s, d))
+    v_mat[head_idx, tok_idx] = det_gathered_project(toks_sel, wv, head_idx)
+    # SADS emits each row's keys by descending estimated score; use the
+    # exact score order so the stream sees the common, DLZS-exact case.
+    scores = np.einsum("rkd,rd->rk", k_mat[row_head[:, None], sel_rows], q_rows)
+    sel_rows = np.take_along_axis(sel_rows, np.argsort(-scores, axis=1), axis=1)
+
+    whole = _whole_gather_stream(q_rows, k_mat, v_mat, row_head, sel_rows)
+    chunked = gather_stream(q_rows, k_mat, v_mat, row_head, sel_rows)[0]
+    exact = (
+        whole.output.tobytes() == chunked.output.tobytes()
+        and np.array_equal(whole.trigger_rows, chunked.trigger_rows)
+        and all(np.array_equal(whole.op_rows[op], chunked.op_rows[op]) for op in whole.op_rows)
+    )
+    if not exact:
+        raise SystemExit("chunked gather -> stream parity broken")
+    times = _best_of_interleaved(
+        {
+            "seed_projection": lambda: seed_gathered_project(toks_sel, wk, head_idx),
+            "projection": lambda: det_gathered_project(toks_sel, wk, head_idx),
+            "whole": lambda: _whole_gather_stream(q_rows, k_mat, v_mat, row_head, sel_rows),
+            "chunked": lambda: gather_stream(q_rows, k_mat, v_mat, row_head, sel_rows),
+        },
+        KV_GATHER_REPEATS,
+    )
+    whole_peak = _peak_traced_bytes(
+        lambda: _whole_gather_stream(q_rows, k_mat, v_mat, row_head, sel_rows)
+    )
+    chunked_peak = _peak_traced_bytes(
+        lambda: gather_stream(q_rows, k_mat, v_mat, row_head, sel_rows)
+    )
+    rows_per_chunk = max(1, _GATHER_CHUNK_BYTES // (kk * 2 * d * 8))
+    mib = float(1 << 20)
+    return {
+        "workload": dict(w),
+        "unique_rows": int(head_idx.size),
+        "chunks": -(-n * t // rows_per_chunk),
+        "seed_projection_s": times["seed_projection"],
+        "projection_s": times["projection"],
+        "projection_vs_seed": times["seed_projection"] / times["projection"],
+        "whole_gather_stream_s": times["whole"],
+        "chunked_gather_stream_s": times["chunked"],
+        "chunked_vs_whole": times["whole"] / times["chunked"],
+        "k_stack_mb": n * t * kk * d * 8 / mib,
+        "whole_peak_traced_mb": whole_peak / mib,
+        "chunked_peak_traced_mb": chunked_peak / mib,
+        "bit_identical": exact,
+    }
+
+
 def _e2e_requests(quick: bool, seed: int = 23) -> list[AttentionRequest]:
     rng = make_rng(seed)
     s, h, dk, t = E2E_SEQ_LEN[quick], 32, 32, E2E_QUERIES[quick]
@@ -477,6 +612,7 @@ def measure(quick: bool = False) -> dict:
     engine = measure_engine(quick)
     fused = measure_fused_kernels(quick)
     fused_engine = measure_fused_engine(quick)
+    kv_gather = measure_kv_gather(quick)
     qualifying = [p for p in kernels if p["kk"] >= 512 and p["stack_rows"] >= 256]
     acceptance = max(
         qualifying, key=lambda p: p["blocked_vs_seed_loop"], default=None
@@ -507,6 +643,7 @@ def measure(quick: bool = False) -> dict:
         "engine": engine,
         "fused": fused,
         "fused_engine": fused_engine,
+        "kv_gather": kv_gather,
         "fused_acceptance": {
             "workload": fused_engine["workload"],
             "fused_vs_default": fused_engine["fused_vs_default"],
@@ -541,6 +678,17 @@ def test_fused_kernel_parity_quick():
 def test_fused_engine_parity_quick():
     record = measure_fused_engine(quick=True)
     assert record["bit_identical"]
+
+
+def test_kv_gather_parity_quick():
+    """Sequential projection == seed broadcast-sum, chunked gather -> stream
+    == whole stack, bit for bit; the chunked working set stays below one
+    whole K stack."""
+    record = measure_kv_gather(quick=True)
+    assert record["bit_identical"]
+    assert record["chunks"] > 1
+    assert record["chunked_peak_traced_mb"] < record["k_stack_mb"]
+    assert record["whole_peak_traced_mb"] > 2 * record["k_stack_mb"]
 
 
 def test_blocked_beats_seed_loop_locally():

@@ -34,6 +34,11 @@ file                                  metric
                                       - end-to-end engine rate under the
                                       fused predict+select mapping on the
                                       long-selection stream.
+``BENCH_sufa_quick``                  ``kv_gather.projection_vs_seed`` - the
+                                      sequential-accumulate K/V projection's
+                                      speedup over the seed broadcast-sum
+                                      projection (intra-run *ratio*; the two
+                                      are bit-identical).
 ``BENCH_cache_quick``                 ``paged.steady_hit_rate`` - the paged
                                       store's hit rate on the shared-prefix
                                       stream under byte pressure (the flat
@@ -130,6 +135,10 @@ def _sufa_fused_engine_rps(record: dict[str, Any]) -> float:
     return float(record["fused_engine"]["fused_requests_per_sec"])
 
 
+def _sufa_projection_vs_seed(record: dict[str, Any]) -> float:
+    return float(record["kv_gather"]["projection_vs_seed"])
+
+
 def _obs_overhead_ratio(record: dict[str, Any]) -> float:
     return float(record["obs_overhead_ratio"])
 
@@ -191,6 +200,12 @@ METRICS: list[tuple[str, str, Callable[[dict[str, Any]], float], str]] = [
         "fused_engine.fused_requests_per_sec",
         _sufa_fused_engine_rps,
         "rate",
+    ),
+    (
+        "BENCH_sufa_quick.json",
+        "kv_gather.projection_vs_seed",
+        _sufa_projection_vs_seed,
+        "ratio",
     ),
     (
         "BENCH_obs_quick.json",

@@ -255,6 +255,26 @@ def parse_address(address: str) -> tuple[str, int]:
         raise ValueError(f"worker address {address!r} has a non-integer port") from error
 
 
+def close_socket(sock) -> None:
+    """Shut ``sock`` down in both directions, then close it.
+
+    The shutdown is what reaches the peer: on Linux a bare ``close()``
+    while another thread is blocked in ``recv()`` on the same socket
+    neither wakes that reader nor sends FIN (the blocked call keeps the
+    socket open), so the peer would never see its session end.
+    """
+    import socket as _socket
+
+    try:
+        sock.shutdown(_socket.SHUT_RDWR)
+    except OSError:
+        pass  # never connected, or already reset by the peer
+    try:
+        sock.close()
+    except OSError:  # pragma: no cover - close on a dead socket
+        pass
+
+
 #: Announce line a listening worker prints (port resolved after binding, so
 #: ``--listen 127.0.0.1:0`` still tells the spawner where to connect).
 ANNOUNCE_PREFIX = "SOFA-WORKER-LISTENING "
@@ -345,10 +365,7 @@ class _SocketWorkerLink(WorkerLink):
         if self.process is not None and self.process.poll() is None:
             self.process.kill()
         self._alive = False
-        try:
-            self._sock.close()
-        except OSError:  # pragma: no cover - close on a dead socket
-            pass
+        close_socket(self._sock)
 
     def join(self, timeout: float | None = None) -> None:
         if self.process is not None:
@@ -361,10 +378,7 @@ class _SocketWorkerLink(WorkerLink):
 
     def close(self) -> None:
         self._alive = False
-        try:
-            self._sock.close()
-        except OSError:  # pragma: no cover
-            pass
+        close_socket(self._sock)
 
 
 class SocketTransport(ClusterTransport):

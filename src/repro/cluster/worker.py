@@ -333,6 +333,7 @@ def _serve_connection(conn) -> bool:
     re-inits, so worker-side state never outlives the frontend that
     routed for it).
     """
+    from repro.cluster.transport import close_socket
     from repro.engine.codec import FrameDecoder, FrameError, encode_frame
 
     decoder = FrameDecoder()
@@ -379,10 +380,7 @@ def _serve_connection(conn) -> bool:
         # frontend side observes a dead link and re-routes/reconnects.
         return True
     finally:
-        try:
-            conn.close()
-        except OSError:  # pragma: no cover
-            pass
+        close_socket(conn)
 
 
 def main(argv: list[str] | None = None) -> None:

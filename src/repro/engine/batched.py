@@ -10,15 +10,17 @@ there is no Python loop over heads in any compute stage:
 * **SADS selection** flattens every query row of every head into one
   ``(N*T, S)`` stack and runs the vectorized segment grid once
   (:meth:`repro.core.sads.SadsSorter.select_stack`).
-* **SU-FA** streams all ``N*T`` rows through the sorted-updating core in
+* **SU-FA** streams the ``N*T`` rows through the sorted-updating core in
   lockstep (:func:`repro.core.sufa.stream_selected`), mirroring how the
-  hardware's PE columns share one K/V stream across rows.
+  hardware's PE columns share one K/V stream across rows; the selected
+  K/V are gathered one row chunk at a time (:func:`gather_stream`), so
+  the whole ``(N*T, kk, D)`` stacks are never staged.
 
 Failure semantics follow the fusion: with ``max_assurance=False`` a
-mispredicted ordering in *any* head aborts the whole call (streaming state
-advances per step for the full stack), so callers needing per-head fault
-isolation - like :class:`~repro.engine.serving.SofaEngine` - serve such
-requests unbatched.
+mispredicted ordering in *any* head aborts the whole call (it raises from
+whichever row chunk holds it, discarding the chunks already streamed), so
+callers needing per-head fault isolation - like
+:class:`~repro.engine.serving.SofaEngine` - serve such requests unbatched.
 
 The mapping to the paper's Fig. 6 tiling grid is unchanged: every head in
 the batch shares the same ``(S, tile_cols)`` grid, so the SADS sub-segments
@@ -46,7 +48,7 @@ from repro.core.pipeline import (
     sads_trace_sram,
 )
 from repro.core.sads import SadsSorter
-from repro.core.sufa import UpdateOrder, stream_selected
+from repro.core.sufa import SufaStackResult, UpdateOrder, stream_selected
 from repro.kernels.predict_select_fused import fused_pair
 from repro.kernels.registry import get_kernel
 from repro.obs import get_telemetry
@@ -55,6 +57,10 @@ from repro.numerics.linalg import det_gathered_project
 
 if TYPE_CHECKING:
     from repro.engine.cache import DecodeStepCache
+
+#: Bytes of gathered K+V per stream chunk: bounds the stage-3 working set
+#: (the whole (N*T, kk, D) K and V stacks are never allocated).
+_GATHER_CHUNK_BYTES = 16 << 20
 
 
 @dataclass
@@ -97,6 +103,64 @@ def _as_head_scales(scale: float | np.ndarray, n: int) -> np.ndarray:
     if arr.shape != (n,):
         raise ValueError(f"per-head scales must be scalar or ({n},), got {arr.shape}")
     return arr
+
+
+def gather_stream(
+    q_rows: np.ndarray,
+    k_mat: np.ndarray,
+    v_mat: np.ndarray,
+    row_head: np.ndarray,
+    sel_rows: np.ndarray,
+    **stream_kwargs,
+) -> tuple[SufaStackResult, float, float]:
+    """Gather each row's selected K/V and stream it, one row chunk at a time.
+
+    ``k_mat``/``v_mat`` are the ``(N, S, D)`` per-head tables, ``row_head``
+    maps each of the ``R`` query rows to its head and ``sel_rows`` is the
+    ``(R, kk)`` selection.  Chunks hold about :data:`_GATHER_CHUNK_BYTES`
+    of gathered K+V, so the whole ``(R, kk, D)`` stacks are never
+    allocated; ``stream_kwargs`` go to :func:`stream_selected`, whose rows
+    are bit-identical alone or in any stack, so the concatenated result
+    equals one whole-stack call bit for bit (a ``max_assurance=False``
+    misprediction raises from whichever chunk holds it).
+
+    Every chunk is gathered into the same two preallocated buffers, so
+    the loop allocates no large arrays after its first chunk.  Returns the
+    result and the summed gather and stream seconds (zeros while
+    telemetry is off).
+    """
+    obs = get_telemetry()
+    rows, kk = sel_rows.shape
+    s, dk, dv = k_mat.shape[1], k_mat.shape[2], v_mat.shape[2]
+    chunk = max(1, min(rows, _GATHER_CHUNK_BYTES // max(1, kk * (dk + dv) * 8)))
+    k_flat = k_mat.reshape(-1, dk)
+    v_flat = v_mat.reshape(-1, dv)
+    k_buf = np.empty((chunk, kk, dk))
+    v_buf = np.empty((chunk, kk, dv))
+    parts = []
+    gather_s = stream_s = 0.0
+    for lo in range(0, rows, chunk):
+        hi = min(lo + chunk, rows)
+        t_gather = obs.clock()
+        flat = row_head[lo:hi, None] * s + sel_rows[lo:hi]
+        # mode="clip" writes straight into the buffer ("raise" would stage
+        # a copy); the selection indices are in range by construction.
+        k_sel = np.take(k_flat, flat, axis=0, out=k_buf[: hi - lo], mode="clip")
+        v_sel = np.take(v_flat, flat, axis=0, out=v_buf[: hi - lo], mode="clip")
+        t_stream = obs.clock()
+        with obs.span("stage.stream", attrs={"rows": hi - lo, "k": kk}):
+            parts.append(stream_selected(q_rows[lo:hi], k_sel, v_sel, **stream_kwargs))
+        gather_s += t_stream - t_gather
+        stream_s += obs.clock() - t_stream
+    result = SufaStackResult(
+        output=np.concatenate([part.output for part in parts]),
+        op_rows={
+            op: np.concatenate([part.op_rows[op] for part in parts])
+            for op in parts[0].op_rows
+        },
+        trigger_rows=np.concatenate([part.trigger_rows for part in parts]),
+    )
+    return result, gather_s, stream_s
 
 
 class BatchedSofaAttention:
@@ -222,6 +286,11 @@ class BatchedSofaAttention:
         sads_sram = sads_trace_sram(cfg, t, k_count)
 
         # ------------------------------------------- stage 3: on-demand KV + SU-FA
+        # K/V are generated once per (head, token) in the union of every
+        # row's selection, into dense (N, S, D) tables; gather_stream then
+        # gathers and streams one row chunk of the N*T stack at a time (the
+        # cross-stage tiling: produced and consumed chunk by chunk, never
+        # staged whole as (N*T, kk, D) stacks).
         t_kv = obs.clock()
         sel_mask = np.zeros((n, s), dtype=bool)
         np.put_along_axis(sel_mask, selected.reshape(n, t * kk), True, axis=1)
@@ -245,25 +314,22 @@ class BatchedSofaAttention:
             if v_mat.ndim != 3 or v_mat.shape[:2] != (n, s):
                 raise ValueError(f"value caches must be ({n}, {s}, Dv)")
             dv = v_mat.shape[2]
-
-        head_arange = np.arange(n)[:, None, None]
-        k_sel = k_mat[head_arange, selected]  # (N, T, kk, Dk)
-        v_sel = v_mat[head_arange, selected]  # (N, T, kk, Dv)
-        obs.observe_since("sofa_stage_kv_gather_seconds", t_kv)
-        with obs.span(
-            "stage.stream",
-            attrs={"rows": n * t, "k": kk},
-            hist="sofa_stage_stream_seconds",
-        ):
-            stream = stream_selected(
-                q.reshape(n * t, d),
-                k_sel.reshape(n * t, kk, dk),
-                v_sel.reshape(n * t, kk, dv),
-                order=UpdateOrder.DESCENDING if cfg.sufa.descending else UpdateOrder.ASCENDING,
-                max_assurance=cfg.sufa.max_assurance,
-                tile_cols=cfg.tile_cols,
-                kernel=cfg.sufa.kernel,
-            )
+        project_s = obs.clock() - t_kv
+        stream, gather_s, stream_s = gather_stream(
+            q.reshape(n * t, d),
+            k_mat,
+            v_mat,
+            np.repeat(np.arange(n), t),
+            selected.reshape(n * t, kk),
+            order=UpdateOrder.DESCENDING if cfg.sufa.descending else UpdateOrder.ASCENDING,
+            max_assurance=cfg.sufa.max_assurance,
+            tile_cols=cfg.tile_cols,
+            kernel=cfg.sufa.kernel,
+        )
+        # One observation per call and stage, whatever the chunk count:
+        # kv_gather is the projection plus every chunk's gather.
+        obs.observe("sofa_stage_kv_gather_seconds", project_s + gather_s)
+        obs.observe("sofa_stage_stream_seconds", stream_s)
         outputs = stream.output.reshape(n, t, dv)
         sufa_ops_rows = {
             op: counts.reshape(n, t) for op, counts in stream.op_rows.items()

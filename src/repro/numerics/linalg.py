@@ -10,12 +10,18 @@ appended.
 
 Two families of primitives restore the invariance:
 
-* the ``det_matmul`` / ``det_gathered_project`` / ``det_rowdot`` helpers
-  implement matmul as an explicit broadcast-multiply followed by ``np.sum``
-  over the contraction axis - NumPy's pairwise reduction over a fixed-length
-  axis of a freshly-allocated C-contiguous product is a pure function of
-  that row's data (the cost is a materialized ``(rows, K, N)`` product per
-  chunk; callers keep ``chunk_rows`` small enough to stay cache-friendly);
+* the on-demand K/V projection (:func:`det_gathered_project`, with
+  :func:`det_matmul` as its one-matrix case) is a *sequential
+  accumulate* over the contraction axis.  Each step is one elementwise
+  multiply into a preallocated buffer and one in-place add, so every
+  output element is ``((0.0 + x0*w0) + x1*w1) + ...`` in ``K`` order - a
+  pure function of that row's data.  That is exactly the order in which
+  NumPy reduces a non-innermost axis, starting from the additive
+  identity.  So the result has the same bits as summing the
+  broadcast-multiply ``(rows, K, N)`` product with ``sum(axis=1)``,
+  without ever building that product; ``tests/test_numerics_linalg.py``
+  keeps that formulation as its differential oracle.  :func:`det_rowdot` reduces over the innermost
+  axis, where NumPy's pairwise tree depends only on the axis length;
 * the SU-FA hot-path primitives (``det_stack_scores``, ``det_pv_contract``,
   ``det_tile_mass``) are *stacked fixed-shape* contractions: each row is its
   own ``(kk, D) @ (D, 1)``-style BLAS call whose operand shapes - and hence
@@ -31,8 +37,30 @@ from __future__ import annotations
 
 import numpy as np
 
-#: Rows processed per chunk: bounds the (chunk, K, N) product temporary.
+#: Rows processed per chunk: bounds the (chunk, N) accumulate buffers.
 _DEFAULT_CHUNK_ROWS = 256
+
+
+def _accumulate(x: np.ndarray, w: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> None:
+    """``out[...] = x @ w`` summed sequentially over ``K`` from ``+0.0``.
+
+    ``x`` is ``(c, K)``, ``w`` is ``(K, N)``; ``out`` and ``tmp`` are
+    ``(c, N)`` buffers.  Element ``(i, j)`` is ``((0.0 + x[i,0] w[0,j]) +
+    x[i,1] w[1,j]) + ...``: the order in which ``sum(axis=1)`` of the
+    C-contiguous ``(c, K, N)`` product reduces, since that axis is not the
+    innermost one and NumPy's reduce starts from the additive identity.
+    The exception is ``N == 1``: the length-1 axis vanishes, ``K`` becomes
+    the innermost axis and NumPy sums it with its pairwise tree, so that
+    case sums the ``(c, K)`` product over its last axis - the same tree,
+    and a product no larger than ``x``.
+    """
+    if w.shape[1] == 1:
+        out[:, 0] = (x * w[:, 0]).sum(axis=1)
+        return
+    out.fill(0.0)
+    for k in range(x.shape[1]):
+        np.multiply(x[:, k, None], w[k], out=tmp)
+        out += tmp
 
 
 def det_matmul(
@@ -40,23 +68,18 @@ def det_matmul(
 ) -> np.ndarray:
     """Deterministic ``(M, K) @ (K, N)`` float64 matmul.
 
-    Row ``i`` of the result is bit-identical for any ``M`` and any chunking,
-    which is what lets the sequential pipeline and the batched engine share
-    exact outputs.
+    The one-matrix case of :func:`det_gathered_project` (same accumulate
+    routine, same bits): row ``i`` of the result is bit-identical for any
+    ``M`` and any chunking, which is what lets the sequential pipeline and
+    the batched engine share exact outputs.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ValueError(f"incompatible shapes {a.shape} x {b.shape}")
-    m, n = a.shape[0], b.shape[1]
-    out = np.empty((m, n), dtype=np.float64)
-    for lo in range(0, m, max(chunk_rows, 1)):
-        hi = min(lo + max(chunk_rows, 1), m)
-        prod = a[lo:hi, :, None] * b[None, :, :]  # fresh C-contiguous (c, K, N)
-        out[lo:hi] = prod.sum(axis=1)
-    if m == 0:
-        out = out.reshape(0, n)
-    return out
+    return det_gathered_project(
+        a, b[None], np.zeros(a.shape[0], dtype=np.int64), chunk_rows
+    )
 
 
 def det_gathered_project(
@@ -69,10 +92,14 @@ def det_gathered_project(
 
     ``x`` is ``(R, K)``, ``w`` is a stack ``(N_mats, K, N)`` and
     ``row_matrix`` maps each row to its matrix (the engine maps selected
-    tokens back to their head's projection weights).  Row results are
-    bit-identical to ``det_matmul(x[i:i+1], w[row_matrix[i]])`` because the
-    per-chunk product has the same ``(c, K, N)`` layout and the same
-    ``axis=1`` pairwise reduction.
+    tokens back to their head's projection weights).  Each output element
+    is the sequential ``K``-order sum described in :func:`_accumulate`.
+    It is bit-identical to the broadcast product
+    ``x[i:i+1, :, None] * w[row_matrix[i]]`` summed over ``axis=1``, and
+    to ``det_matmul(x[i:i+1], w[row_matrix[i]])``, however the rows are
+    chunked, ordered or grouped.  ``K == 0`` gives zeros, as the sum over
+    an empty axis does.  Working memory is two ``(chunk_rows, N)``
+    buffers.
     """
     x = np.asarray(x, dtype=np.float64)
     w = np.asarray(w, dtype=np.float64)
@@ -86,9 +113,10 @@ def det_gathered_project(
     if r == 0:
         return out
     step = max(chunk_rows, 1)
-    # Process runs of a constant matrix index (the engine's rows arrive
-    # head-sorted) with a broadcast instead of a per-row gather copy; the
-    # product layout and reduction are unchanged, so results stay identical.
+    tmp = np.empty((min(step, r), n), dtype=np.float64)
+    # Runs of a constant matrix index (the engine's rows arrive head-sorted)
+    # share one weight matrix; the accumulate is elementwise, so neither the
+    # runs nor the row chunks inside them change any row's bits.
     boundaries = np.flatnonzero(np.diff(row_matrix)) + 1
     starts = np.concatenate(([0], boundaries))
     stops = np.concatenate((boundaries, [r]))
@@ -96,8 +124,7 @@ def det_gathered_project(
         mat = w[int(row_matrix[start])]
         for lo in range(int(start), int(stop), step):
             hi = min(lo + step, int(stop))
-            prod = x[lo:hi, :, None] * mat[None, :, :]  # (c, K, N)
-            out[lo:hi] = prod.sum(axis=1)
+            _accumulate(x[lo:hi], mat, out[lo:hi], tmp[: hi - lo])
     return out
 
 
@@ -147,11 +174,13 @@ def det_pv_contract(p_tile: np.ndarray, v_tile: np.ndarray) -> np.ndarray:
     through this one primitive, the blocked/reference bit-parity contract
     holds no matter how the BLAS orders the ``B`` products internally.
 
-    Callers must pass the whole streaming stack with each row's ``(B,
-    Dv)`` value slice laid out contiguously (true for every tile slice of
-    a gathered ``(R, kk, Dv)`` stack); tiny-shape matmuls take
+    Callers must pass the streaming stack with each row's ``(B, Dv)``
+    value slice laid out contiguously (true for every tile slice of a
+    freshly gathered ``(R, kk, Dv)`` stack, whether it holds every row or
+    one row chunk of the engine's stack); tiny-shape matmuls take
     layout-dependent internal paths, so the kernel layer keeps every call
-    site on this one canonical layout rather than contracting row subsets.
+    site on this one canonical layout rather than contracting strided
+    row subsets.
     """
     p_tile = np.asarray(p_tile, dtype=np.float64)
     v_tile = np.asarray(v_tile, dtype=np.float64)

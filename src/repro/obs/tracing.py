@@ -5,9 +5,10 @@
 ``cluster.rpc`` (dispatch to result frame) > ``worker.request`` (the
 worker-side wall time of that request) > ``engine.batch`` (the fused call
 that served it) > ``stage.predict`` / ``stage.select`` /
-``stage.predict_select_fused`` / ``stage.kv_gather`` / ``stage.stream``
-(the pipeline stages inside the batch), with cache lookups/spills and
-codec encode/decode timed alongside as histogram observations.  Spans
+``stage.predict_select_fused`` / ``stage.stream`` (the pipeline stages
+inside the batch; one ``stage.stream`` per streamed row chunk), with the
+K/V projection and gathers, cache lookups/spills and codec
+encode/decode timed alongside as histogram observations.  Spans
 form a tree through ``parent_id``; a per-thread stack makes nesting
 automatic for context-manager spans (:meth:`Tracer.span`), while
 start/end pairs (:meth:`Tracer.start` / :meth:`Tracer.end`) cross

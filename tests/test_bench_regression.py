@@ -54,6 +54,7 @@ def _write_quick_artifacts(directory: pathlib.Path, scale: float = 1.0,
             {"fused_vs_unfused": 1.2 * kernel_scale},
         ],
         "fused_engine": {"fused_requests_per_sec": 25.0 * scale},
+        "kv_gather": {"projection_vs_seed": 2.0 * kernel_scale},
     }))
     # telemetry overhead is an intra-run ratio (enabled vs disabled rps)
     (directory / "BENCH_obs_quick.json").write_text(json.dumps({
@@ -117,7 +118,9 @@ def test_injected_kernel_speedup_regression_fails(gate, tmp_path, capsys):
     assert gate.main(
         ["--baseline", str(tmp_path / "base"), "--fresh", str(tmp_path / "fresh")]
     ) == 1
-    assert "blocked_vs_seed_loop" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "blocked_vs_seed_loop" in err
+    assert "kv_gather.projection_vs_seed" in err
 
 
 def test_rate_tolerance_widens_only_rate_metrics(gate, tmp_path):

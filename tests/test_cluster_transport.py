@@ -268,3 +268,37 @@ def test_unreachable_worker_address_fails_startup_loudly():
 def test_unknown_transport_rejected():
     with pytest.raises(ValueError, match="transport"):
         EngineCluster(n_workers=1, config=CFG, transport="carrier-pigeon")
+
+
+@pytest.mark.parametrize("teardown", ["kill", "close"])
+def test_link_teardown_reaches_the_peer(teardown):
+    """Killing or closing a link with its reader blocked in ``recv()``
+    must send FIN: the peer reads EOF within 2 s and the reader exits.
+
+    A bare ``close()`` under a blocked reader does neither on Linux, which
+    left remote workers stuck in a dead session instead of looping back
+    to ``accept``.
+    """
+    import queue
+    import socket
+
+    from repro.cluster.transport import _SocketWorkerLink
+
+    listener = socket.create_server(("127.0.0.1", 0))
+    try:
+        frontend = socket.create_connection(listener.getsockname()[:2], timeout=2.0)
+        frontend.settimeout(None)
+        peer, _ = listener.accept()
+    finally:
+        listener.close()
+    with peer:
+        link = _SocketWorkerLink(0, 1, frontend, queue.Queue(), process=None)
+        time.sleep(0.05)  # let the reader block in recv()
+        getattr(link, teardown)()
+        peer.settimeout(2.0)
+        t0 = time.monotonic()
+        assert peer.recv(1) == b""
+        assert time.monotonic() - t0 < 2.0
+        link.join(timeout=2.0)
+        assert not link._reader.is_alive()
+        assert not link.is_alive()
